@@ -74,9 +74,10 @@ func reportCacheOverflows(b *testing.B, before int64) {
 
 // BenchmarkEngineHugeWorld is the scale the event engine unlocks: 1024- to
 // 262144-rank timing-only allreduce sweeps that the goroutine engine cannot
-// run in reasonable wall-clock time. The 64Ki and 256Ki rows are the
-// schedule-folding scale targets; their wall-clock is dominated by the
-// per-rank token scan and clock fanout (see README "Scaling limits").
+// run in reasonable wall-clock time. The sweeps run on the class-level
+// harness (internal/core/uniform.go), so no row pays anything per rank per
+// call: their wall-clock is world setup, shape re-pricing, partition
+// transitions and the per-class recurrence (see README "Scaling limits").
 func BenchmarkEngineHugeWorld(b *testing.B) {
 	for _, ranks := range []int{1024, 4096, 16384, 65536, 262144} {
 		b.Run(fmt.Sprint(ranks), func(b *testing.B) {
@@ -95,8 +96,9 @@ func BenchmarkEngineHugeWorld(b *testing.B) {
 // BenchmarkEngineHugeWorldNoSchedFold is the same sweep with class-level
 // schedule folding disabled — the engine still folds symmetric ranks but
 // compiles and replays one schedule per rank class gather the pre-schedfold
-// way. The ratio to the folded 16Ki row is the schedfold's end-to-end
-// speedup (schedfold_speedup_huge_world in the bench.sh JSON). Capped at
+// way. Schedule folding off also turns the class-level harness off, so the
+// ratio to the folded 16Ki row (schedfold_speedup_huge_world in the
+// bench.sh JSON) is the end-to-end speedup of both together. Capped at
 // 16384 ranks: the per-schedule gather makes 64Ki+ rows too slow to
 // benchmark routinely.
 func BenchmarkEngineHugeWorldNoSchedFold(b *testing.B) {

@@ -124,7 +124,7 @@ func init() {
 		if s.Modes == nil {
 			s.Modes = cAndPy
 		}
-		s.Body = collectiveBody(name)
+		s.Body, s.loop = collectiveBody(name), name
 		RegisterBenchmark(s)
 	}
 	coll(Allgather, "MPI_Allgather latency", BenchmarkSpec{
@@ -155,7 +155,7 @@ func init() {
 			Name: name, Summary: summary,
 			Kind: KindVector, Group: groupVector, MinRanks: 2,
 			Modes: cAndPy, Buffers: buffers,
-			Body: collectiveBody(name),
+			Body: collectiveBody(name), loop: name,
 		})
 	}
 	vector(Allgatherv, "MPI_Allgatherv latency (uniform counts)", buffersGather)

@@ -1,42 +1,80 @@
 package core
 
 import (
-	"reflect"
+	"math"
 	"testing"
 
-	"repro/internal/pybuf"
+	"repro/internal/mpi"
+	"repro/internal/netmodel"
+	"repro/internal/stats"
+	"repro/internal/topology"
 )
 
-// TestRowReduceFusionUnchanged proves the satellite claim behind the fused
-// min/sum/max aggregation: because every message size is clock-isolated
-// (barrier + ResetClock before each size), the aggregation protocol runs
-// outside anything that is measured, so collapsing three reduce rounds into
-// one changes no reported number. The legacy three-round path is kept only
-// for this comparison.
-func TestRowReduceFusionUnchanged(t *testing.T) {
-	configs := []Options{
-		{Benchmark: Latency, Mode: ModeC, Ranks: 2, PPN: 1,
-			MinSize: 1, MaxSize: 64 * 1024, Iters: 10, Warmup: 2, LargeIters: 4, LargeWarmup: 1},
-		{Benchmark: Allreduce, Mode: ModePy, Buffer: pybuf.NumPy, Ranks: 12, PPN: 4,
-			MinSize: 4, MaxSize: 64 * 1024, Iters: 10, Warmup: 2, LargeIters: 4, LargeWarmup: 1},
-		{Benchmark: Bandwidth, Mode: ModeC, Ranks: 2, PPN: 1, Window: 16,
-			MinSize: 1024, MaxSize: 64 * 1024, Iters: 10, Warmup: 2, LargeIters: 4, LargeWarmup: 1},
+// TestSymbolicRowMatchesReduce proves the class harness's row aggregation
+// equals the per-rank fused OpMinSumMax Reduce bit for bit, for latencies
+// that differ rank to rank (so the binomial association order of the sum
+// is exercised) and for latencies that are uniform per class of ranks, on
+// power-of-two and ragged rank counts.
+func TestSymbolicRowMatchesReduce(t *testing.T) {
+	perRank := func(r int) float64 {
+		// Irregular magnitudes make float addition non-associative.
+		return 1/float64(r+3) + math.Ldexp(float64(r%5), -r%7) + float64(r*r)*1e7
 	}
-	defer func() { fuseRowReduce = true }()
-	for _, opts := range configs {
-		fuseRowReduce = true
-		fused, err := Run(opts)
-		if err != nil {
-			t.Fatalf("%s fused: %v", opts.Benchmark, err)
-		}
-		fuseRowReduce = false
-		legacy, err := Run(opts)
-		if err != nil {
-			t.Fatalf("%s legacy: %v", opts.Benchmark, err)
-		}
-		if !reflect.DeepEqual(fused.Series, legacy.Series) {
-			t.Errorf("%s: fused aggregation changed reported rows\nfused:  %+v\nlegacy: %+v",
-				opts.Benchmark, fused.Series, legacy.Series)
+	perClass := func(r int) float64 {
+		// Three classes of ranks, as a folded world reports them.
+		return []float64{12.345678901, 0.1 + 0.2, 1e9 / 7}[(r*r+r/3)%3]
+	}
+	for _, p := range []int{2, 3, 7, 16, 63, 96} {
+		for name, lat := range map[string]func(int) float64{"per-rank": perRank, "per-class": perClass} {
+			want := reduceRowPerRank(t, p, lat)
+			got := symbolicRow(p, lat)
+			got.Size = want.Size
+			if got != want {
+				t.Errorf("p=%d %s latencies: symbolic row %+v, per-rank Reduce row %+v", p, name, got, want)
+			}
 		}
 	}
+}
+
+// reduceRowPerRank aggregates lat(r) through reduceRow on a goroutine
+// world of p ranks, returning rank 0's row.
+func reduceRowPerRank(t *testing.T, p int, lat func(r int) float64) stats.Row {
+	t.Helper()
+	world := newTestWorld(t, p)
+	var row stats.Row
+	err := world.Run(func(pr *mpi.Proc) error {
+		o := &ops{c: pr.CommWorld()}
+		r, err := reduceRow(o, 1, lat(pr.Rank()), 0)
+		if pr.Rank() == 0 {
+			row = r
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return row
+}
+
+func newTestWorld(t *testing.T, p int) *mpi.World {
+	t.Helper()
+	opts := Options{Benchmark: Allreduce, Ranks: p, PPN: 1}.withDefaults()
+	cluster, err := topology.ByName(opts.Cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	place, err := topology.NewPlacement(cluster, p, (p+15)/16, topology.Block, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := netmodel.New(cluster, opts.Impl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := mpi.NewWorld(mpi.Config{Placement: place, Model: model, CarryData: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Release)
+	return w
 }

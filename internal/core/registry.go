@@ -95,6 +95,11 @@ type BenchmarkSpec struct {
 	// rank 0's aggregated row (other ranks return a zero row, exactly as
 	// Bench.ReduceRow does). Required.
 	Body func(b *Bench) (stats.Row, error)
+
+	// loop names the collective when Body is the runCollective loop over
+	// it, which makes the spec a candidate for the class-level harness
+	// (uniform.go).
+	loop Benchmark
 }
 
 // SupportsMode reports whether the workload runs under the given binding.

@@ -175,6 +175,11 @@ func RunContext(ctx context.Context, opts Options) (*Report, error) {
 		sizes = append([]int(nil), spec.FixedSizes...)
 	}
 	report := &Report{Options: opts}
+	if rows, ok := runUniform(ctx, world, opts, spec, sizes); ok {
+		report.Series.Rows = rows
+		report.Series.Name = seriesName(opts)
+		return report, nil
+	}
 	var mu sync.Mutex // guards report.Series (rank 0 appends per size)
 
 	// Per-rank state comes from one slab: a heap-allocated ops and a fresh
@@ -290,23 +295,15 @@ func iterCounts(o Options, size int) (iters, warmup int) {
 	return o.Iters, o.Warmup
 }
 
-// fuseRowReduce selects the single-message row aggregation; the test that
-// proves fusion leaves every reported number unchanged flips it to compare
-// against the legacy three-reduce path.
-var fuseRowReduce = true
-
 // reduceRow aggregates the local latency across ranks: average of averages,
 // global min and max. Aggregation runs on the raw runtime (outside the
 // timed section, like OMB's MPI_Reduce of elapsed times) as one 3-element
 // vector reduce with the fused min/sum/max operator — one message round
-// where the legacy path took three. Sizes are clock-isolated (see Run), so
-// the aggregation protocol cannot affect any reported latency; the legacy
-// path is kept only for the test asserting exactly that.
+// where separate reductions would take three. Sizes are clock-isolated (see
+// Run), so the aggregation protocol cannot affect any reported latency;
+// symbolicRow (uniform.go) is the same aggregation without messages.
 func reduceRow(o *ops, size int, localLat, mbps float64) (stats.Row, error) {
 	c := o.c
-	if !fuseRowReduce {
-		return reduceRowUnfused(c, size, localLat, mbps)
-	}
 	self, out := o.rowBuf[:24], o.rowBuf[24:48]
 	bits := math.Float64bits(localLat)
 	for i := 0; i < 3; i++ {
@@ -324,33 +321,6 @@ func reduceRow(o *ops, size int, localLat, mbps float64) (stats.Row, error) {
 		AvgUs: vals[1] / float64(c.Size()),
 		MinUs: vals[0],
 		MaxUs: vals[2],
-		MBps:  mbps,
-	}, nil
-}
-
-// reduceRowUnfused is the legacy three-round aggregation.
-func reduceRowUnfused(c *mpi.Comm, size int, localLat, mbps float64) (stats.Row, error) {
-	avg := make([]byte, 8)
-	minv := make([]byte, 8)
-	maxv := make([]byte, 8)
-	self := mpi.EncodeFloat64s([]float64{localLat})
-	if err := c.Reduce(self, avg, mpi.Float64, mpi.OpSum, 0); err != nil {
-		return stats.Row{}, err
-	}
-	if err := c.Reduce(self, minv, mpi.Float64, mpi.OpMin, 0); err != nil {
-		return stats.Row{}, err
-	}
-	if err := c.Reduce(self, maxv, mpi.Float64, mpi.OpMax, 0); err != nil {
-		return stats.Row{}, err
-	}
-	if c.Rank() != 0 {
-		return stats.Row{}, nil
-	}
-	return stats.Row{
-		Size:  size,
-		AvgUs: mpi.DecodeFloat64s(avg)[0] / float64(c.Size()),
-		MinUs: mpi.DecodeFloat64s(minv)[0],
-		MaxUs: mpi.DecodeFloat64s(maxv)[0],
 		MBps:  mbps,
 	}, nil
 }

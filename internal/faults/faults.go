@@ -27,6 +27,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -108,12 +109,10 @@ func (p *Plan) String() string {
 // defaultSeed keys plans whose spec carries no seed clause.
 const defaultSeed = 1
 
-// Parse parses a fault spec string. An empty (or all-whitespace) spec
-// returns (nil, nil): no plan installed.
+// Parse parses a fault spec string. A spec that injects nothing (empty,
+// only separators, or only zero-valued and seed clauses) returns (nil,
+// nil): no plan installed, which is also what its String renders back to.
 func Parse(spec string) (*Plan, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, nil
-	}
 	p := &Plan{Seed: defaultSeed}
 	for _, clause := range strings.Split(spec, ";") {
 		clause = strings.TrimSpace(clause)
@@ -142,6 +141,9 @@ func Parse(spec string) (*Plan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("faults: clause %q: %w", clause, err)
 		}
+	}
+	if !p.Active() {
+		return nil, nil
 	}
 	return p, nil
 }
@@ -189,6 +191,9 @@ func (p *Plan) parseKill(rest string) error {
 	if k.At >= 0 && k.Coll != "" {
 		return fmt.Errorf("at=T kills cannot name a collective (they fire on any entry)")
 	}
+	if k.At >= 0 && k.After > 0 {
+		return fmt.Errorf("at=T and after=N are exclusive (an at=T kill counts no invocations)")
+	}
 	p.Kills = append(p.Kills, k)
 	return nil
 }
@@ -217,8 +222,8 @@ func (p *Plan) parseJitter(rest string) error {
 		return fmt.Errorf("jitter needs link=F, got %q", rest)
 	}
 	f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-	if err != nil || f < 0 {
-		return fmt.Errorf("jitter fraction %q must be a non-negative number", val)
+	if err != nil || !(f >= 0) || math.IsInf(f, 1) {
+		return fmt.Errorf("jitter fraction %q must be a finite non-negative number", val)
 	}
 	p.Jitter = f
 	return nil
@@ -237,8 +242,8 @@ func parseDuration(s string) (float64, error) {
 		s, mult = s[:len(s)-1], 1e6
 	}
 	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("duration %q must be a non-negative number with an optional us/ms/s suffix", s)
+	if err != nil || !(v >= 0) || math.IsInf(v*mult, 1) {
+		return 0, fmt.Errorf("duration %q must be a finite non-negative number with an optional us/ms/s suffix", s)
 	}
 	return v * mult, nil
 }

@@ -93,6 +93,7 @@ func (w *World) RunContext(ctx context.Context, body func(p *Proc) error) error 
 	if ctx.Done() == nil {
 		return w.Run(body)
 	}
+	w.buildMailboxes() // before the watcher goroutine can read them
 	w.armCancel()
 	if ctx.Err() != nil {
 		// Already canceled: latch synchronously before any rank exists, so

@@ -39,6 +39,7 @@ package mpi
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/topology"
 	"repro/internal/vtime"
@@ -75,8 +76,10 @@ const (
 	// three to a word during refinement.
 	foldMaxRanks = 1 << 21
 	// foldDenseRefine bounds the class count refined through a dense
-	// (class x class) table; beyond it a map takes over.
-	foldDenseRefine = 1024
+	// (class x class) table, which is cleared on every refinement pass;
+	// beyond it the pair table (pairTable) takes over, whose cost follows
+	// the distinct pairs instead of the square of the class count.
+	foldDenseRefine = 64
 	// foldMaxClasses aborts a fold whose refined partition approaches
 	// per-rank size: the recurrence would not beat per-rank replay.
 	foldMaxClasses = 16384
@@ -191,6 +194,9 @@ type foldShape struct {
 	nslots int
 	// slotDeltas maps wire-slot index back to its send delta.
 	slotDeltas []int32
+	// deltas lists the distinct send and receive deltas of the exchange
+	// steps, one refinement pass each (refinePartition).
+	deltas []int32
 
 	// Structural classes, refined to the peer fixpoint at build time.
 	class            []int32
@@ -423,23 +429,31 @@ func (l *eventLoop) tryFold() bool {
 	sh := w.foldShapes[sk]
 	if sh == nil {
 		if g.keyed {
-			sh = l.buildFoldShapeProbe(sk, g.pend)
+			sh = w.buildFoldShapeProbe(sk, g.pend.sel, g.pend.call)
 		} else {
 			sh = buildFoldShapeScheds(w, g.scheds)
 		}
-		if w.foldShapes == nil {
-			w.foldShapes = make(map[shapeKey]*foldShape, 8)
-		}
-		w.foldShapes[sk] = sh
+		w.rememberShape(sk, sh)
 	}
+	if !sh.ok {
+		return false
+	}
+	return sh.simulate(l)
+}
+
+// rememberShape caches an analyzed shape under its value key; an unfoldable
+// one also lands in foldNo so later invocations skip the gather entirely.
+func (w *World) rememberShape(sk shapeKey, sh *foldShape) {
+	if w.foldShapes == nil {
+		w.foldShapes = make(map[shapeKey]*foldShape, 8)
+	}
+	w.foldShapes[sk] = sh
 	if !sh.ok {
 		if w.foldNo == nil {
 			w.foldNo = make(map[shapeKey]struct{}, 8)
 		}
 		w.foldNo[sk] = struct{}{}
-		return false
 	}
-	return sh.simulate(l)
 }
 
 const foldFNV = 14695981039346656037
@@ -643,6 +657,15 @@ func buildFoldShapeFx(w *World, fx *foldExtract) *foldShape {
 	p, ns := fx.p, fx.ns
 	sh := &foldShape{kind: fx.kind, steps: fx.steps,
 		nslots: fx.nslots, slotDeltas: fx.slotDeltas}
+	for k := range sh.steps {
+		if fs := &sh.steps[k]; fs.op == opExchange {
+			for _, d := range [2]int32{fs.sendDelta, fs.recvDelta} {
+				if !slices.Contains(sh.deltas, d) {
+					sh.deltas = append(sh.deltas, d)
+				}
+			}
+		}
+	}
 	class := make([]int32, p)
 	var reps []int32
 	buckets := make(map[uint64][]int32)
@@ -703,9 +726,11 @@ func (w *World) foldCostsFor(sh *foldShape) [][]foldCost {
 	fullSub := w.fullSub
 	p := w.size
 	costs := make([][]foldCost, sh.nclass)
+	ns := len(sh.steps)
+	flat := make([]foldCost, sh.nclass*ns)
 	for i := 0; i < sh.nclass; i++ {
 		rep := int(sh.reps[i])
-		cc := make([]foldCost, len(sh.steps))
+		cc := flat[i*ns : (i+1)*ns : (i+1)*ns]
 		for k := range sh.steps {
 			fs := &sh.steps[k]
 			switch fs.op {
@@ -738,6 +763,7 @@ func (sh *foldShape) refinePartition(cls []int32, ncls int) int {
 	p := len(cls)
 	next := make([]int32, p)
 	var dense []int32
+	var pairs pairTable
 	refineBy := func(delta int32) {
 		n := 0
 		if ncls <= foldDenseRefine {
@@ -761,40 +787,94 @@ func (sh *foldShape) refinePartition(cls []int32, ncls int) int {
 				next[r] = id
 			}
 		} else {
-			m := make(map[int64]int32, ncls+16)
+			pairs.reset(ncls)
 			for r := 0; r < p; r++ {
 				peer := foldApply(sh.kind, r, int(delta), p)
-				key := int64(cls[r])<<32 | int64(cls[peer])
-				id, ok := m[key]
-				if !ok {
-					id = int32(n)
-					n++
-					m[key] = id
-				}
-				next[r] = id
+				next[r] = pairs.intern(cls[r], cls[peer])
 			}
+			n = int(pairs.n)
 		}
 		if n != ncls {
 			ncls = n
 			copy(cls, next)
 		}
 	}
+	// Each distinct delta refines once per round: the coarsest stable
+	// refinement, and its first-seen labels, do not depend on the order or
+	// repetition of the passes, and schedules revisit their deltas (every
+	// xor step sends and receives on one, Rabenseifner walks them twice).
 	for {
 		if ncls <= 1 || ncls >= p {
 			return ncls
 		}
 		before := ncls
-		for k := range sh.steps {
-			fs := &sh.steps[k]
-			if fs.op != opExchange {
-				continue
-			}
-			refineBy(fs.sendDelta)
-			refineBy(fs.recvDelta)
+		for _, d := range sh.deltas {
+			refineBy(d)
 		}
 		if ncls == before {
 			return ncls
 		}
+	}
+}
+
+// pairTable interns (a, b) pairs of class ids into dense ids in first-seen
+// order: an open-addressing table that is reset, not reallocated, between
+// uses, and grows with the number of distinct pairs.
+type pairTable struct {
+	keys []uint64 // a<<32 | b, plus one; 0 marks an empty slot
+	ids  []int32
+	n    int32
+}
+
+// reset empties the table, sized for about hint distinct pairs.
+func (t *pairTable) reset(hint int) {
+	size := 64
+	for size < 2*hint {
+		size <<= 1
+	}
+	if cap(t.keys) < size {
+		t.keys, t.ids = make([]uint64, size), make([]int32, size)
+	} else {
+		t.keys, t.ids = t.keys[:cap(t.keys)], t.ids[:cap(t.ids)]
+		clear(t.keys)
+	}
+	t.n = 0
+}
+
+// intern returns the id of pair (a, b), assigning the next one if unseen.
+func (t *pairTable) intern(a, b int32) int32 {
+	k := uint64(uint32(a))<<32 | uint64(uint32(b)) + 1
+	mask := uint64(len(t.keys) - 1)
+	for i := (k * 0x9E3779B97F4A7C15) >> 32 & mask; ; i = (i + 1) & mask {
+		switch t.keys[i] {
+		case k:
+			return t.ids[i]
+		case 0:
+			id := t.n
+			t.keys[i], t.ids[i] = k, id
+			t.n++
+			if 2*int(t.n) > len(t.keys) {
+				t.grow()
+			}
+			return id
+		}
+	}
+}
+
+// grow doubles the table, reinserting every pair under its id.
+func (t *pairTable) grow() {
+	keys, ids := t.keys, t.ids
+	t.keys, t.ids = make([]uint64, 2*len(keys)), make([]int32, 2*len(keys))
+	mask := uint64(len(t.keys) - 1)
+	for j, k := range keys {
+		if k == 0 {
+			continue
+		}
+		i := (k * 0x9E3779B97F4A7C15) >> 32 & mask
+		for t.keys[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.keys[i], t.ids[i] = k, ids[j]
 	}
 }
 
@@ -821,10 +901,11 @@ func (sh *foldShape) peerTables(cls []int32, ncls int, reps []int32) (sendCls, r
 	ns := len(sh.steps)
 	sendCls = make([][]int32, ncls)
 	recvCls = make([][]int32, ncls)
+	flat := make([]int32, 2*ncls*ns)
 	for i := 0; i < ncls; i++ {
 		rep := int(reps[i])
-		sc := make([]int32, ns)
-		rc := make([]int32, ns)
+		sc := flat[2*i*ns : (2*i+1)*ns : (2*i+1)*ns]
+		rc := flat[(2*i+1)*ns : (2*i+2)*ns : (2*i+2)*ns]
 		for k := 0; k < ns; k++ {
 			fs := &sh.steps[k]
 			if fs.op != opExchange {
@@ -981,12 +1062,20 @@ func (sh *foldShape) effSeeds(pr *Proc, seeds []vtime.Micros) {
 			}
 		}
 	}
-	if f := pr.foldLB; f != nil && f.kind == sh.kind {
-		for j, d := range f.deltas {
-			if f.vals[j] > now {
-				if s := sh.slotOfDelta(int(d)); s >= 0 {
-					seeds[s] = f.vals[j]
-				}
+	sh.overlaySeeds(pr.foldLB, now, seeds)
+}
+
+// overlaySeeds writes the live same-kind entries of symbolic link-busy state
+// f over seeds, by wire slot; entries of another kind or with no slot in
+// the shape are left out.
+func (sh *foldShape) overlaySeeds(f *foldLB, now vtime.Micros, seeds []vtime.Micros) {
+	if f == nil || f.kind != sh.kind {
+		return
+	}
+	for j, d := range f.deltas {
+		if f.vals[j] > now {
+			if s := sh.slotOfDelta(int(d)); s >= 0 {
+				seeds[s] = f.vals[j]
 			}
 		}
 	}
@@ -1169,36 +1258,72 @@ func (sh *foldShape) simulate(l *eventLoop) bool {
 	}
 
 	// 3. Entry state per class, read from each representative.
-	ns := len(sh.steps)
-	scr.clock = foldGrowM(scr.clock, ncls)
-	scr.cp = foldGrowM(scr.cp, ncls)
-	scr.sr = foldGrowM(scr.sr, ncls)
-	scr.arr = foldGrowM(scr.arr, ncls)
-	scr.cr = foldGrowM(scr.cr, ncls)
-	scr.lb = foldGrowM(scr.lb, ncls*nslots)
-	clock, cp, sr, arr, cr, lb := scr.clock, scr.cp, scr.sr, scr.arr, scr.cr, scr.lb
-	if cap(scr.entryLB) < ncls {
-		scr.entryLB = make([]*foldLB, ncls)
-	}
-	entryLB := scr.entryLB[:ncls]
+	scr.growClasses(ncls, nslots)
 	for i := 0; i < ncls; i++ {
 		rep := i
 		if !ident {
 			rep = int(reps[i])
 		}
 		pr := l.ranks[rep].proc
-		clock[i] = pr.clock.Now()
+		scr.clock[i] = pr.clock.Now()
 		if nslots > 0 {
-			sh.effSeeds(pr, lb[i*nslots:(i+1)*nslots])
+			sh.effSeeds(pr, scr.lb[i*nslots:(i+1)*nslots])
 		}
-		entryLB[i] = pr.foldLB
+		scr.entryLB[i] = pr.foldLB
 	}
 
-	// 4. The coupled recurrence: per exchange step, three phases over all
-	// classes (post, receive, drain), each line mirroring the exact float64
-	// operation order of postSendPriced / finishRecv / completeSend.
-	py := w.cfg.PyMode
-	for k := 0; k < ns; k++ {
+	// 4-5. The recurrence, then exit state fanned out to every rank.
+	sh.recur(scr, ncls, costIdx, sendCls, recvCls, ident, p, w.cfg.PyMode)
+	slab := sh.exitLB(scr, ncls)
+	clock := scr.clock
+	for r := 0; r < p; r++ {
+		pr := l.ranks[r].proc
+		i := r
+		if !ident {
+			i = int(cls[r])
+		}
+		pr.clock.Set(clock[i])
+		pr.foldLB = &slab[i]
+		if s := g.scheds[r]; s != nil {
+			s.finish()
+		} else {
+			// Key join: no schedule was ever compiled. The invocation still
+			// consumed the communicator's collective sequence number (every
+			// fallback or per-rank path bumps it through nextCollTag), so
+			// advance it here to keep tag sequences identical across
+			// folded, fallback and fold-off executions.
+			pr.comm0.collSeq++
+		}
+	}
+	return true
+}
+
+// growClasses sizes the per-class recurrence buffers for ncls classes.
+func (scr *foldScratch) growClasses(ncls, nslots int) {
+	scr.clock = foldGrowM(scr.clock, ncls)
+	scr.cp = foldGrowM(scr.cp, ncls)
+	scr.sr = foldGrowM(scr.sr, ncls)
+	scr.arr = foldGrowM(scr.arr, ncls)
+	scr.cr = foldGrowM(scr.cr, ncls)
+	scr.lb = foldGrowM(scr.lb, ncls*nslots)
+	if cap(scr.entryLB) < ncls {
+		scr.entryLB = make([]*foldLB, ncls)
+	}
+	scr.entryLB = scr.entryLB[:ncls]
+}
+
+// recur runs the coupled recurrence over the classes whose entry clocks and
+// per-slot link seeds are in scr.clock and scr.lb, leaving exit values in
+// place: per exchange step, three phases over all classes (post, receive,
+// drain), each line mirroring the exact float64 operation order of
+// postSendPriced / finishRecv / completeSend. costIdx maps a class to its
+// structural price row; sendCls/recvCls give each class's peer class per
+// step, or, with ident (class i is rank i), peers come from the deltas.
+func (sh *foldShape) recur(scr *foldScratch, ncls int, costIdx []int32,
+	sendCls, recvCls [][]int32, ident bool, p int, py bool) {
+	nslots := sh.nslots
+	clock, cp, sr, arr, cr, lb := scr.clock, scr.cp, scr.sr, scr.arr, scr.cr, scr.lb
+	for k := range sh.steps {
 		fs := &sh.steps[k]
 		switch fs.op {
 		case opReduce:
@@ -1275,27 +1400,30 @@ func (sh *foldShape) simulate(l *eventLoop) bool {
 			}
 		}
 	}
+}
 
-	// 5. Exit link state per class (live slots plus live carried symbolic
-	// entries the shape's slots do not cover), then fan out. The exit object
-	// exists even when no entry is live: its pointer identity marks the
-	// rank's exit class, so the next invocation's entry tokens reproduce this
-	// partition exactly instead of merging classes whose exit clocks happen
-	// to coincide — that keeps token patterns stable and cacheable. The
-	// objects come from one slab: they escape into the ranks, so the slab is
-	// the invocation's only mandatory allocation.
+// exitLB builds each class's exit link state after recur: live slots plus
+// live carried symbolic entries (scr.entryLB) the shape's slots do not
+// cover. The exit object exists even when no entry is live: its pointer
+// identity marks the rank's exit class, so the next invocation's entry
+// tokens reproduce this partition exactly instead of merging classes whose
+// exit clocks happen to coincide — that keeps token patterns stable and
+// cacheable. The objects come from one slab: they escape into the ranks, so
+// the slab is the invocation's only mandatory allocation.
+func (sh *foldShape) exitLB(scr *foldScratch, ncls int) []foldLB {
+	nslots := sh.nslots
 	slab := make([]foldLB, ncls)
 	for i := 0; i < ncls; i++ {
 		f := &slab[i]
 		f.kind = sh.kind
-		ec := clock[i]
+		ec := scr.clock[i]
 		for s := 0; s < nslots; s++ {
-			if v := lb[i*nslots+s]; v > ec {
+			if v := scr.lb[i*nslots+s]; v > ec {
 				f.deltas = append(f.deltas, sh.slotDeltas[s])
 				f.vals = append(f.vals, v)
 			}
 		}
-		if ef := entryLB[i]; ef != nil {
+		if ef := scr.entryLB[i]; ef != nil {
 			for j, d := range ef.deltas {
 				if ef.vals[j] > ec && sh.slotOfDelta(int(d)) < 0 {
 					f.deltas = append(f.deltas, d)
@@ -1304,24 +1432,5 @@ func (sh *foldShape) simulate(l *eventLoop) bool {
 			}
 		}
 	}
-	for r := 0; r < p; r++ {
-		pr := l.ranks[r].proc
-		i := r
-		if !ident {
-			i = int(cls[r])
-		}
-		pr.clock.Set(clock[i])
-		pr.foldLB = &slab[i]
-		if s := g.scheds[r]; s != nil {
-			s.finish()
-		} else {
-			// Key join: no schedule was ever compiled. The invocation still
-			// consumed the communicator's collective sequence number (every
-			// fallback or per-rank path bumps it through nextCollTag), so
-			// advance it here to keep tag sequences identical across
-			// folded, fallback and fold-off executions.
-			pr.comm0.collSeq++
-		}
-	}
-	return true
+	return slab
 }

@@ -131,6 +131,8 @@ type World struct {
 	// eligibility check on the collective hot path is one load.
 	schedFoldOK bool
 	foldScratch foldScratch
+	// probe is the scratch rank shape probes compile on (probeComm).
+	probe *Proc
 	// linkSig fingerprints the placement's link tables so analyzed shapes
 	// can be shared across worlds with identical placements (schedfold.go's
 	// process-wide structure cache; hits verify the tables exactly).
@@ -285,23 +287,32 @@ func NewWorld(cfg Config) (*World, error) {
 	w.schedFoldOK = !w.foldOff && !w.schedFoldOff && w.faults == nil &&
 		size >= 2 && size <= foldMaxRanks && cfg.Trace == nil
 	w.buildLinkTables()
-	w.mailboxes = make([]*mailbox, size)
-	// One slab, not 2*size allocations — drawn from the cross-world pool
-	// (slabpool.go) so a benchmark sweep's per-iteration worlds reuse one
-	// allocation; Release returns it.
-	mbs := takeMailboxSlab(size)
-	w.mbSlab = mbs
-	for i := range w.mailboxes {
-		mb := &mbs[i]
-		mb.size = size
-		mb.cond.L = &mb.mu
-		w.mailboxes[i] = mb
-	}
 	w.worldGroup = make([]int, size)
 	for i := range w.worldGroup {
 		w.worldGroup[i] = i
 	}
 	return w, nil
+}
+
+// buildMailboxes gives the world its mailboxes on the first Run; a world
+// only ever driven at class level (RunUniform) never takes any. It runs on
+// the goroutine calling Run, before any rank or cancel watcher exists.
+func (w *World) buildMailboxes() {
+	if w.mailboxes != nil {
+		return
+	}
+	w.mailboxes = make([]*mailbox, w.size)
+	// One slab, not 2*size allocations — drawn from the cross-world pool
+	// (slabpool.go) so a benchmark sweep's per-iteration worlds reuse one
+	// allocation; Release returns it.
+	mbs := takeMailboxSlab(w.size)
+	w.mbSlab = mbs
+	for i := range w.mailboxes {
+		mb := &mbs[i]
+		mb.size = w.size
+		mb.cond.L = &mb.mu
+		w.mailboxes[i] = mb
+	}
 }
 
 // Release returns the world's slab memory to the cross-world pools so the
@@ -363,6 +374,7 @@ func (e *RankError) Unwrap() error { return e.Err }
 // whole world runs as a discrete-event simulation on the calling goroutine
 // (see event.go), with bit-identical virtual-time results.
 func (w *World) Run(body func(p *Proc) error) error {
+	w.buildMailboxes()
 	if w.cfg.Engine == EngineEvent {
 		return w.runEvent(body)
 	}

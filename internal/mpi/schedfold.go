@@ -201,33 +201,25 @@ const foldStructMaxBytes = 256 << 20
 // foldStructFootprint estimates the retained bytes of a cached structure.
 func foldStructFootprint(sh *foldShape) int64 {
 	b := int64(256) + int64(len(sh.class))*4 + int64(len(sh.steps))*16 +
-		int64(len(sh.reps)+len(sh.identIdx)+len(sh.slotDeltas))*4
+		int64(len(sh.reps)+len(sh.identIdx)+len(sh.slotDeltas)+len(sh.deltas))*4
 	per := int64(len(sh.steps)) * 4
 	b += int64(len(sh.sendCls)+len(sh.recvCls)+len(sh.repN)+len(sh.repSendN)) * (per + 24)
 	b += int64(len(sh.dom))*4 + int64(len(sh.domLink))*8
 	return b
 }
 
-// resolveFoldAlg resolves the algorithm a deferred invocation would have
-// selected; only needed on a shape-cache miss (the steady state never
-// walks the policy).
-func resolveFoldAlg(c *Comm, sk shapeKey, sel Selection) (*Algorithm, error) {
-	if sk.coll == collBarrier {
-		return barrierAlg, nil
-	}
-	return c.algorithm(sk.coll, sel)
-}
-
-// buildFoldShapeProbe resolves a shape-cache miss for a key gather: fetch
-// the analyzed structure from the process-wide cache (verifying the link
-// tables exactly — the signature is a hash) or compile one probe schedule
-// per rank and analyze them, then attach this world's price tables.
-func (l *eventLoop) buildFoldShapeProbe(sk shapeKey, pend *foldPending) *foldShape {
-	w := l.w
-	c0 := l.ranks[0].proc.CommWorld()
-	alg, err := resolveFoldAlg(c0, sk, pend.sel)
-	if err != nil || alg == nil || alg.build == nil {
-		return &foldShape{}
+// buildFoldShapeProbe resolves a shape-cache miss for a deferred
+// invocation: fetch the analyzed structure from the process-wide cache
+// (verifying the link tables exactly — the signature is a hash) or compile
+// one probe schedule per rank and analyze them, then attach this world's
+// price tables.
+func (w *World) buildFoldShapeProbe(sk shapeKey, sel Selection, call collCall) *foldShape {
+	alg := barrierAlg
+	if sk.coll != collBarrier {
+		var err error
+		if alg, err = w.policy.Select(sk.coll, sel); err != nil || alg == nil || alg.build == nil {
+			return &foldShape{}
+		}
 	}
 	key := foldStructKey{alg: alg, p: w.size, n: sk.n, root: sk.root,
 		dt: sk.dt, op: sk.op, linkSig: w.linkSig}
@@ -246,7 +238,7 @@ func (l *eventLoop) buildFoldShapeProbe(sk shapeKey, pend *foldPending) *foldSha
 		// A signature collision between distinct placements: build for this
 		// world without fighting over the cache slot.
 	}
-	sh := l.probeAndAnalyze(alg, pend.call)
+	sh := w.probeAndAnalyze(alg, call)
 	w.schedFoldStats.ClassesCompiled += int64(sh.nclass)
 	tmpl := *sh
 	tmpl.costs, tmpl.parts = nil, nil
@@ -265,12 +257,11 @@ func (l *eventLoop) buildFoldShapeProbe(sk shapeKey, pend *foldPending) *foldSha
 // rank r+1 compiles) and runs the uniformity analysis on them. No pool, no
 // tag, no replay cache is touched: the probes exist only to prove the
 // shape, exactly as the gathered schedules did for the schedule-level fold.
-func (l *eventLoop) probeAndAnalyze(alg *Algorithm, call collCall) *foldShape {
-	w := l.w
+func (w *World) probeAndAnalyze(alg *Algorithm, call collCall) *foldShape {
 	var probe collSched
 	bad := false
 	compile := func(r int) []collStep {
-		cr := l.ranks[r].proc.CommWorld()
+		cr := w.probeComm(r)
 		probe.c = cr
 		probe.steps = probe.steps[:0]
 		probe.dt, probe.op = call.dt, call.op
@@ -315,6 +306,19 @@ func (l *eventLoop) probeAndAnalyze(alg *Algorithm, call collCall) *foldShape {
 		return &foldShape{}
 	}
 	return buildFoldShapeFx(w, fx)
+}
+
+// probeComm returns rank r's world communicator on the world's scratch
+// probe rank: compiling rank r's schedule reads only the rank number, the
+// world and per-rank memos keyed by the rank, so one Proc serves them all.
+func (w *World) probeComm(r int) *Comm {
+	if w.probe == nil {
+		w.probe = &Proc{world: w}
+	}
+	pr := w.probe
+	pr.rank = r
+	pr.comm0v = Comm{proc: pr, group: w.worldGroup, rank: r}
+	return &pr.comm0v
 }
 
 func foldLinksEqual(a, b []topology.LinkClass) bool {
